@@ -5,7 +5,12 @@
 //! Syntactic passes never touch the semantic layer, so `lint` on a
 //! process with only syntactic findings pays zero solver cost — the
 //! `bench_lint` binary measures exactly this. Semantic passes share one
-//! [`SemanticCtx`] built on first use.
+//! [`SemanticCtx`] built on first use, and with it one
+//! [`ConfinementVerdict`] and one memo of rendered productions.
+//!
+//! Witness productions are chosen by [`SemanticCtx::pick_witness`], which
+//! renders each candidate at most once per context and none when a name
+//! already sorts below every constructor.
 //!
 //! ## Determinism across solver layouts
 //!
@@ -21,14 +26,16 @@
 
 use crate::diag::{Span, WitnessStep};
 use nuspi_cfa::{
-    analyze_with_attacker_parallel, analyze_with_attacker_traced, AttackedSolution, EdgeKind,
-    FlowStepKind, FlowVar, Prod, Provenance, Solution,
+    accept, analyze_with_attacker_parallel, analyze_with_attacker_traced,
+    attacker::attacker_confounder, AttackedSolution, EdgeKind, FlowStepKind, FlowVar, Prod,
+    Provenance, Solution,
 };
 use nuspi_security::{AbstractKind, Policy};
 use nuspi_semantics::ExecConfig;
-use nuspi_syntax::{Label, Process};
-use std::cell::OnceCell;
+use nuspi_syntax::{Label, Name, Process, Symbol};
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Tunables for a lint run.
 #[derive(Clone, Copy, Debug)]
@@ -76,6 +83,34 @@ pub struct SemanticCtx {
     /// Kind facts over the decision solution's nonterminals (its own
     /// fixpoint — `VarId`s are not portable across solutions).
     pub decision_kinds: AbstractKind,
+    /// The static confinement verdict, built on first use.
+    confinement: OnceCell<ConfinementVerdict>,
+    /// Depth-4 renderings of traced-solution productions, shared by
+    /// every witness choice of the run.
+    renders: RefCell<HashMap<Prod, Rc<str>>>,
+}
+
+/// The static confinement check of Definition 4, computed once per
+/// [`SemanticCtx`] and shared by the `confinement` pass (which reports
+/// it as E001–E004) and the `carefulness` pass (which, by Theorem 3,
+/// runs its monitor only when this verdict is not confined).
+#[derive(Debug)]
+pub struct ConfinementVerdict {
+    /// Free names of the process that the policy declares secret
+    /// (E003), sorted by name.
+    pub free_secrets: Vec<Name>,
+    /// Table 2 re-validation failures of the decision solution (E004).
+    pub unacceptable: Vec<accept::Violation>,
+    /// Public channels, the attacker's knowledge included, whose `κ`
+    /// may hold a secret-kind value (E001/E002).
+    pub leaks: Vec<Symbol>,
+}
+
+impl ConfinementVerdict {
+    /// Whether the process is confined: no E001–E004 finding.
+    pub fn is_confined(&self) -> bool {
+        self.free_secrets.is_empty() && self.unacceptable.is_empty() && self.leaks.is_empty()
+    }
 }
 
 impl SemanticCtx {
@@ -90,6 +125,80 @@ impl SemanticCtx {
     /// The solution witnesses and renders are read from.
     pub fn traced_solution(&self) -> &Solution {
         &self.traced.solution
+    }
+
+    /// The depth-4 rendering of a traced-solution production, memoised
+    /// for the lifetime of the context.
+    pub fn render(&self, p: &Prod) -> Rc<str> {
+        if let Some(r) = self.renders.borrow().get(p) {
+            return Rc::clone(r);
+        }
+        let r: Rc<str> = self.traced_solution().render_production(p, 4).into();
+        self.renders.borrow_mut().insert(p.clone(), Rc::clone(&r));
+        r
+    }
+
+    /// The witness among `candidates` (traced-solution productions): the
+    /// least by *(interesting first, rendered form)* when
+    /// `prefer_interesting`, by rendered form alone otherwise, the first
+    /// candidate winning an exact tie. A constructor is rendered only
+    /// when its known first characters do not already place it above
+    /// the least name or numeral, so a name below `{` beats every
+    /// ciphertext unrendered.
+    pub fn pick_witness<'a>(
+        &self,
+        candidates: impl IntoIterator<Item = &'a Prod>,
+        prefer_interesting: bool,
+    ) -> Option<Prod> {
+        let tier = |p: &Prod| prefer_interesting && !is_interesting(p);
+        let mut tied: Vec<&Prod> = candidates.into_iter().collect();
+        let best_tier = tied.iter().map(|p| tier(p)).min()?;
+        tied.retain(|p| tier(p) == best_tier);
+        let least_known = tied
+            .iter()
+            .filter_map(|p| match render_floor(p) {
+                Floor::Exact(s) => Some(s),
+                Floor::Prefix(_) => None,
+            })
+            .min();
+        tied.into_iter()
+            .filter_map(|p| match render_floor(p) {
+                Floor::Exact(s) => Some((p, Rc::from(s))),
+                // Every rendering that starts with `prefix` sorts above
+                // a known string that sorts below `prefix`.
+                Floor::Prefix(prefix) if least_known.is_some_and(|k| k < prefix) => None,
+                Floor::Prefix(_) => Some((p, self.render(p))),
+            })
+            .min_by(|a, b| a.1.cmp(&b.1))
+            .map(|(p, _)| p.clone())
+    }
+}
+
+/// Plain names and honest ciphertexts, as opposed to numerals, pairs
+/// and attacker-synthesised ciphertexts.
+fn is_interesting(p: &Prod) -> bool {
+    match p {
+        Prod::Name(_) => true,
+        Prod::Enc { confounder, .. } => *confounder != attacker_confounder(),
+        _ => false,
+    }
+}
+
+/// What a production's rendering is known to be without rendering it.
+enum Floor {
+    /// The whole rendering.
+    Exact(&'static str),
+    /// A prefix of it.
+    Prefix(&'static str),
+}
+
+fn render_floor(p: &Prod) -> Floor {
+    match p {
+        Prod::Name(n) => Floor::Exact(n.as_str()),
+        Prod::Zero => Floor::Exact("0"),
+        Prod::Suc(_) => Floor::Prefix("suc("),
+        Prod::Pair(..) => Floor::Prefix("("),
+        Prod::Enc { .. } => Floor::Prefix("{"),
     }
 }
 
@@ -174,6 +283,34 @@ impl LintContext {
                 traced_kinds,
                 decision,
                 decision_kinds,
+                confinement: OnceCell::new(),
+                renders: RefCell::new(HashMap::new()),
+            }
+        })
+    }
+
+    /// The static confinement verdict of Definition 4, read off the
+    /// decision solution and built once per context.
+    pub fn confinement(&self) -> &ConfinementVerdict {
+        let sem = self.semantic();
+        sem.confinement.get_or_init(|| {
+            let mut free_secrets = self.policy.free_secret_names(&self.process);
+            free_secrets.sort_by_key(|n| n.to_string());
+            let sol = sem.decision_solution();
+            let unacceptable = accept::verify(sol, &self.process);
+            let leaks = sol
+                .channels()
+                .into_iter()
+                .filter(|&chan| self.policy.is_public(chan))
+                .filter(|&chan| {
+                    sol.var_id(FlowVar::Kappa(chan))
+                        .is_some_and(|id| sem.decision_kinds.facts(id).may_secret)
+                })
+                .collect();
+            ConfinementVerdict {
+                free_secrets,
+                unacceptable,
+                leaks,
             }
         })
     }
@@ -292,6 +429,56 @@ mod tests {
         assert!(!witness.is_empty());
         assert!(witness[0].rule.contains("production"), "{:?}", witness[0]);
         assert!(witness.last().unwrap().detail.contains("κ(c)"));
+    }
+
+    #[test]
+    fn pick_witness_matches_a_full_sort_of_the_renderings() {
+        let cases = [
+            ("(new m) c<m>.0", vec!["m"]),
+            (
+                "(new k) (new m) (c<{m, new r}:k>.0 | c(x). case x of {y}:k in d<y>.0)",
+                vec!["k", "m"],
+            ),
+            (
+                "(new k) (new m) (c<({m, new r}:k, suc(0))>.0 | c(x). let (a, b) = x in d<a>.0)",
+                vec!["m"],
+            ),
+        ];
+        for (src, secrets) in cases {
+            let p = parse_process(src).unwrap();
+            let policy = Policy::with_secrets(secrets);
+            let ctx = LintContext::new(&p, &policy);
+            let sem = ctx.semantic();
+            let sol = sem.traced_solution();
+            for (_, fv) in sol.flow_vars() {
+                for prefer_interesting in [true, false] {
+                    let mut sorted: Vec<&Prod> = sol.prods_of(fv).iter().collect();
+                    sorted.sort_by_cached_key(|p| {
+                        (
+                            prefer_interesting && !is_interesting(p),
+                            sol.render_production(p, 4),
+                        )
+                    });
+                    assert_eq!(
+                        sem.pick_witness(sol.prods_of(fv), prefer_interesting),
+                        sorted.first().map(|p| (*p).clone()),
+                        "{src}: {fv}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn confined_verdict_is_built_once() {
+        let p = parse_process("(new k) (new m) c<{m, new r}:k>.0").unwrap();
+        let policy = Policy::with_secrets(["k", "m"]);
+        let ctx = LintContext::new(&p, &policy);
+        assert!(ctx.confinement().is_confined());
+        assert!(std::ptr::eq(ctx.confinement(), ctx.confinement()));
+        let leaky = parse_process("(new m) c<m>.0").unwrap();
+        let ctx = LintContext::new(&leaky, &policy);
+        assert!(!ctx.confinement().is_confined());
     }
 
     #[test]

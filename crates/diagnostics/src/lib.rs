@@ -42,7 +42,7 @@ mod render;
 mod semantic;
 mod syntactic;
 
-pub use context::{LintConfig, LintContext, SemanticCtx};
+pub use context::{ConfinementVerdict, LintConfig, LintContext, SemanticCtx};
 pub use diag::{sort_diagnostics, Diagnostic, Severity, Span, WitnessStep};
 pub use json::{to_json, to_json_compact};
 pub use registry::{Pass, PassKind, PassRegistry};

@@ -7,13 +7,18 @@
 //! | E002 | secret-kind value derivable by the attacker | Theorem 4 |
 //! | E003 | a free name of the process is declared secret | Definition 4 |
 //! | E004 | the estimate fails Table 2 re-validation | Table 2 |
-//! | E005 | a reachable state sends a secret in clear | Definition 3 |
+//! | E005 | a reachable state sends a secret in clear | Definition 3, monitored only when E001–E004 fire (Theorem 3) |
 //! | E006 | an encryption/decryption key may expose `n*` | Definition 7 |
 //! | E007 | `n*` may reach a control position | Definition 7 |
 //! | E008 | a comparison may depend on `n*` | Definition 7 |
 //! | E009 | a value graded above the clearance may reach an observable channel | lattice flow |
 //! | W106 | a `hide`-bound name escapes its scope | no-extrusion rule |
-//! | N005 | the carefulness exploration was truncated | — |
+//! | N005 | the carefulness exploration of a non-confined process was truncated | — |
+//!
+//! The carefulness monitor runs only when the shared
+//! [`ConfinementVerdict`](crate::context::ConfinementVerdict) fails:
+//! Theorem 3 makes a confined process careful, so exploring it could only
+//! confirm the static verdict or stop at the budget.
 //!
 //! `E009` runs only on *graded* policies (a non-default lattice, explicit
 //! levels, or a raised clearance) and `W106` only when the process has a
@@ -24,11 +29,15 @@
 //! [`SemanticCtx`](crate::context::SemanticCtx); witnesses always come
 //! from the traced sequential solve. Both have the same production
 //! sets, so the emitted diagnostics do not depend on the solver layout.
+//! Every witness production (E001/E002, E006/E008, E009) is chosen by
+//! [`SemanticCtx::pick_witness`](crate::context::SemanticCtx::pick_witness):
+//! interesting first, then the rendered form, where a name beats every
+//! ciphertext without rendering it.
 
 use crate::context::LintContext;
 use crate::diag::{Diagnostic, Severity, Span, WitnessStep};
 use crate::registry::{Pass, PassKind};
-use nuspi_cfa::{accept, attacker::attacker_confounder, attacker::attacker_name, FlowVar, Prod};
+use nuspi_cfa::{attacker::attacker_name, FlowVar, Prod};
 use nuspi_security::{
     carefulness, invariance, n_star, AbstractLevel, AbstractSort, InvarianceViolation,
 };
@@ -46,27 +55,18 @@ pub fn passes() -> Vec<Box<dyn Pass>> {
 }
 
 /// Picks the production of `κ(chan)` (in the traced solution) that best
-/// witnesses a secret-kind flow: prefer plain names and honest
-/// ciphertexts over attacker-synthesised noise, tie-break on the
-/// rendered form so the choice is stable across runs and layouts.
+/// witnesses a secret-kind flow: interesting productions first, then
+/// the rendered form (see
+/// [`SemanticCtx::pick_witness`](crate::context::SemanticCtx::pick_witness)).
 fn secret_witness_prod(ctx: &LintContext, fv: FlowVar) -> Option<Prod> {
     let sem = ctx.semantic();
-    let sol = sem.traced_solution();
     let policy = ctx.policy();
-    let mut candidates: Vec<&Prod> = sol
+    let candidates = sem
+        .traced_solution()
         .prods_of(fv)
         .iter()
-        .filter(|p| sem.traced_kinds.facts_of_prod(p, policy).may_secret)
-        .collect();
-    candidates.sort_by_cached_key(|p| {
-        let interesting = match p {
-            Prod::Name(_) => true,
-            Prod::Enc { confounder, .. } => *confounder != attacker_confounder(),
-            _ => false,
-        };
-        (!interesting, sol.render_production(p, 4))
-    });
-    candidates.first().map(|p| (*p).clone())
+        .filter(|p| sem.traced_kinds.facts_of_prod(p, policy).may_secret);
+    sem.pick_witness(candidates, true)
 }
 
 /// E001–E004 — the static secrecy check of Definition 4.
@@ -84,13 +84,11 @@ impl Pass for Confinement {
     }
     fn run(&self, ctx: &LintContext) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        let policy = ctx.policy();
+        let verdict = ctx.confinement();
 
-        // E003: free secret names (well-formedness, checked before any
-        // κ reading because it invalidates the policy's premise).
-        let mut free = policy.free_secret_names(ctx.process());
-        free.sort_by_key(|n| n.to_string());
-        for n in free {
+        // E003: free secret names (well-formedness: it invalidates the
+        // policy's premise).
+        for n in &verdict.free_secrets {
             out.push(Diagnostic {
                 code: "E003",
                 pass: self.name(),
@@ -107,11 +105,8 @@ impl Pass for Confinement {
             });
         }
 
-        let sem = ctx.semantic();
-        let sol = sem.decision_solution();
-
         // E004: acceptability re-validation (Table 2, symbolically).
-        for v in accept::verify(sol, ctx.process()) {
+        for v in &verdict.unacceptable {
             out.push(Diagnostic {
                 code: "E004",
                 pass: self.name(),
@@ -127,20 +122,12 @@ impl Pass for Confinement {
 
         // E001/E002: a secret-kind production in the κ of a public
         // channel (or the attacker's knowledge).
-        for chan in sol.channels() {
-            if !policy.is_public(chan) {
-                continue; // κ of a secret channel is unconstrained
-            }
-            let Some(id) = sol.var_id(FlowVar::Kappa(chan)) else {
-                continue;
-            };
-            if !sem.decision_kinds.facts(id).may_secret {
-                continue;
-            }
+        let sem = ctx.semantic();
+        for &chan in &verdict.leaks {
             let fv = FlowVar::Kappa(chan);
             let mut witness = Vec::new();
             if let Some(prod) = secret_witness_prod(ctx, fv) {
-                let rendered = sem.traced_solution().render_production(&prod, 4);
+                let rendered = sem.render(&prod);
                 witness.push(WitnessStep {
                     rule: "kind classification (Definition 2)",
                     detail: format!("kind({rendered}) = S under the declared policy"),
@@ -185,6 +172,11 @@ impl Pass for Carefulness {
         PassKind::Semantic
     }
     fn run(&self, ctx: &LintContext) -> Vec<Diagnostic> {
+        // Theorem 3: a confined process is careful, so the monitor could
+        // only confirm the static verdict — or give up at its budget.
+        if ctx.confinement().is_confined() {
+            return Vec::new();
+        }
         let report = carefulness(ctx.process(), ctx.policy(), &ctx.config().exec);
         // Deduplicate on (channel, canonical value): the same leak often
         // recurs in many interleavings, and canonicalisation strips the
@@ -284,18 +276,15 @@ impl Invariance {
         v: InvarianceViolation,
     ) -> Diagnostic {
         let sem = ctx.semantic();
-        let sol = sem.traced_solution();
         // A witness production at a ζ entry that may be E-sorted,
         // chosen stably by rendered form.
         let exposed_prod = |l| {
-            let fv = FlowVar::Zeta(l);
-            let mut ps: Vec<&Prod> = sol
-                .prods_of(fv)
+            let candidates = sem
+                .traced_solution()
+                .prods_of(FlowVar::Zeta(l))
                 .iter()
-                .filter(|p| traced_sorts.facts_of_prod(p).may_exposed)
-                .collect();
-            ps.sort_by_cached_key(|p| sol.render_production(p, 4));
-            ps.first().map(|p| (*p).clone())
+                .filter(|p| traced_sorts.facts_of_prod(p).may_exposed);
+            sem.pick_witness(candidates, false)
         };
         match v {
             InvarianceViolation::ExposedKey { label } => {
@@ -488,7 +477,7 @@ impl Pass for GradedFlow {
                     ),
                 }];
                 if let Some(prod) = graded_witness_prod(ctx, &traced_levels, fv, clearance) {
-                    let rendered = sem.traced_solution().render_production(&prod, 4);
+                    let rendered = sem.render(&prod);
                     witness.push(WitnessStep {
                         rule: "level classification (Definition 2, graded)",
                         detail: format!("level({rendered}) escapes the clearance"),
@@ -534,28 +523,15 @@ fn graded_witness_prod(
     clearance: nuspi_security::Level,
 ) -> Option<Prod> {
     let sem = ctx.semantic();
-    let sol = sem.traced_solution();
     let policy = ctx.policy();
     let observable = policy.lattice().downset(clearance);
-    let mut candidates: Vec<&Prod> = sol
-        .prods_of(fv)
-        .iter()
-        .filter(|p| {
-            !traced_levels
-                .facts_of_prod(p, policy)
-                .minus(observable)
-                .is_empty()
-        })
-        .collect();
-    candidates.sort_by_cached_key(|p| {
-        let interesting = match p {
-            Prod::Name(_) => true,
-            Prod::Enc { confounder, .. } => *confounder != attacker_confounder(),
-            _ => false,
-        };
-        (!interesting, sol.render_production(p, 4))
+    let candidates = sem.traced_solution().prods_of(fv).iter().filter(|p| {
+        !traced_levels
+            .facts_of_prod(p, policy)
+            .minus(observable)
+            .is_empty()
     });
-    candidates.first().map(|p| (*p).clone())
+    sem.pick_witness(candidates, true)
 }
 
 #[cfg(test)]

@@ -20,6 +20,9 @@ cargo test -q -p nuspi-cfa --test incremental_diff
 echo "==> lint golden files (incl. ns-lowe / splice-as and their broken variants)"
 cargo test -q --test lint_golden
 
+echo "==> Theorem 3 wall for the lint's carefulness gate"
+cargo test -q --test theorem3_gate
+
 echo "==> lattice conservative-extension wall (2-point twin policies, serve transcripts)"
 cargo test -q --test lattice_wall
 
